@@ -2,9 +2,9 @@
 // swept serially and across core::ThreadPool workers, in both engine
 // modes. Claims checked and measured:
 //  a) determinism: the CampaignReport is byte-identical between serial
-//     and parallel sweeps at every worker count, AND between the
-//     fresh-world path and the pooled-SimContext path (arena-backed
-//     scheduler, reset between seeds);
+//     and parallel sweeps at every worker count, AND between runs that
+//     ignore the pooled context and build a fresh world each and runs on
+//     the pooled SimContext (arena-backed scheduler, reset between seeds);
 //  b) allocator: raw scheduler event churn on an arena vs the global
 //     heap (the micro-win the EventArena exists for);
 //  c) throughput: sweep wall-clock scales with workers (speedup vs the
@@ -32,9 +32,9 @@ constexpr core::SimTime kRunEnd = core::seconds(2);
 
 // One replicated-sensor chaos world per seed: three replicas behind a 2oo3
 // voter, heartbeat watchdog, safety supervisor, and a seeded schedule of
-// lying / mute replicas (the PR 2 health chaos campaign scenario). Builds
-// on the scheduler it is handed, so the fresh-world and warm-context
-// entry points share one body.
+// lying / mute replicas (the health chaos campaign scenario). Builds on
+// the scheduler it is handed, so the fresh-world and warm-context arms
+// share one body.
 fault::Metrics run_chaos_on(core::Scheduler& sim, std::uint64_t seed) {
   core::Rng rng(seed);
 
@@ -141,7 +141,9 @@ fault::Metrics run_chaos_on(core::Scheduler& sim, std::uint64_t seed) {
   return m;
 }
 
-fault::Metrics run_chaos(std::uint64_t seed) {
+// Fresh-world arm: ignores the pooled context and builds its own
+// global-heap scheduler per run.
+fault::Metrics run_chaos(fault::SimContext& /*ctx*/, std::uint64_t seed) {
   core::Scheduler sim;
   return run_chaos_on(sim, seed);
 }
@@ -230,8 +232,7 @@ int main(int argc, char** argv) {
   fault::CampaignReport serial_report;  // pooled-context serial baseline
   const double serial_ns =
       h.time("sweep_serial_reuse", static_cast<double>(runs), [&] {
-        serial_report = make_campaign(runs, 1).sweep(
-            fault::Campaign::CtxRunFn(run_chaos_ctx));
+        serial_report = make_campaign(runs, 1).sweep(run_chaos_ctx);
       });
   bool all_identical = fault::identical(fresh_report, serial_report);
   h.add({"sweep_serial_reuse_speedup", serial_ns, static_cast<double>(runs),
@@ -253,8 +254,7 @@ int main(int argc, char** argv) {
     fault::CampaignReport report;
     const std::string label = "sweep_workers_" + std::to_string(workers);
     const double ns = h.time(label, static_cast<double>(runs), [&] {
-      report = make_campaign(runs, workers)
-                   .sweep(fault::Campaign::CtxRunFn(run_chaos_ctx));
+      report = make_campaign(runs, workers).sweep(run_chaos_ctx);
     });
     const bool same = fault::identical(serial_report, report) &&
                       fault::identical(fresh_report, report);

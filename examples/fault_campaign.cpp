@@ -20,6 +20,7 @@
 #include "avsec/core/table.hpp"
 #include "avsec/core/thread_pool.hpp"
 #include "avsec/fault/campaign.hpp"
+#include "avsec/fault/context.hpp"
 #include "avsec/fault/fault.hpp"
 #include "avsec/ids/response.hpp"
 #include "avsec/obs/obs.hpp"
@@ -30,8 +31,8 @@ using namespace avsec;
 namespace {
 
 // One full world per run: build, fault, simulate, measure.
-fault::Metrics run_scenario(std::uint64_t seed) {
-  core::Scheduler sim;
+fault::Metrics run_scenario(fault::SimContext& ctx, std::uint64_t seed) {
+  core::Scheduler& sim = ctx.sim();
   // Opt in to campaign supervision: inside a supervised sweep this chains
   // the run's event budget / deadline guard onto the scheduler; standalone
   // (replay, tracing) it is a no-op.
@@ -182,11 +183,10 @@ int main(int argc, char** argv) {
     cfg.base_seed = 2026;
     cfg.workers = w;
     if (trace_failing) cfg.trace = fault::TraceCapture::kFailingRuns;
-    // Supervision on: a crashing or runaway seed becomes a quarantined
+    // Supervision: a crashing or runaway seed becomes a quarantined
     // outcome instead of taking the whole sweep down. The event budget is
     // far above any legitimate run; the wall deadline stays off so the
     // report is a pure function of the seeds.
-    cfg.supervision.enabled = true;
     cfg.supervision.max_events = 50'000'000;
     cfg.supervision.retry.max_retries = 1;
     if (manifest != nullptr) cfg.manifest_path = manifest;
@@ -315,7 +315,8 @@ int main(int argc, char** argv) {
     obs::TraceRecorder rec;
     {
       obs::TraceScope scope(rec);
-      run_scenario(seed);
+      fault::SimContext ctx;
+      run_scenario(ctx, seed);
     }
     if (obs::write_chrome_trace(rec, trace_path)) {
       std::printf("wrote Perfetto trace of seed %llu to %s "

@@ -20,6 +20,7 @@
 #include "avsec/core/table.hpp"
 #include "avsec/core/thread_pool.hpp"
 #include "avsec/fault/campaign.hpp"
+#include "avsec/fault/context.hpp"
 #include "avsec/fault/fault.hpp"
 #include "avsec/health/replica.hpp"
 #include "avsec/health/supervisor.hpp"
@@ -32,7 +33,7 @@ namespace {
 
 // Three replicas + voter + monitor + supervisor, shared by both parts.
 struct World {
-  core::Scheduler sim;
+  core::Scheduler& sim;
   health::RedundancyVoter voter;
   ids::AlertCorrelator correlator;
   health::HeartbeatMonitor monitor;
@@ -42,8 +43,9 @@ struct World {
   std::vector<fault::ReplicaFault> targets;
   fault::FaultInjector injector;
 
-  World()
-      : voter(
+  explicit World(core::Scheduler& s)
+      : sim(s),
+        voter(
             [] {
               health::VoterConfig v;
               v.tolerance = 0.5;
@@ -100,7 +102,8 @@ struct World {
 };
 
 void escalation_ladder() {
-  World w;
+  core::Scheduler sim;
+  World w(sim);
   core::Rng rng(1);
   constexpr core::SimTime kEnd = core::seconds(2);
   std::function<void()> publish = [&] {
@@ -146,8 +149,8 @@ void escalation_ladder() {
               w.correlator.incidents().size());
 }
 
-fault::Metrics run_chaos(std::uint64_t seed) {
-  World w;
+fault::Metrics run_chaos(fault::SimContext& ctx, std::uint64_t seed) {
+  World w(ctx.sim());
   // Chain the campaign's supervision guard (if any) onto this world's
   // scheduler; a no-op when the scenario runs standalone.
   fault::supervise(w.sim);
@@ -269,9 +272,8 @@ int main(int argc, char** argv) {
     cfg.base_seed = base_seed;
     cfg.workers = w;
     if (trace_failing) cfg.trace = fault::TraceCapture::kFailingRuns;
-    // Supervised sweep: crashing/runaway seeds are quarantined instead of
-    // aborting the chaos campaign. Wall deadline off for determinism.
-    cfg.supervision.enabled = true;
+    // Crashing/runaway seeds are quarantined instead of aborting the
+    // chaos campaign. Wall deadline off for determinism.
     cfg.supervision.max_events = 50'000'000;
     cfg.supervision.retry.max_retries = 1;
     if (manifest != nullptr) cfg.manifest_path = manifest;
@@ -387,7 +389,8 @@ int main(int argc, char** argv) {
     obs::TraceRecorder rec;
     {
       obs::TraceScope scope(rec);
-      run_chaos(seed);
+      fault::SimContext ctx;
+      run_chaos(ctx, seed);
     }
     if (obs::write_chrome_trace(rec, trace_path)) {
       std::printf("wrote Perfetto trace of seed %llu to %s "

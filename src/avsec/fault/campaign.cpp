@@ -1,10 +1,8 @@
 #include "avsec/fault/campaign.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "avsec/core/rng.hpp"
@@ -17,21 +15,6 @@ namespace avsec::fault {
 namespace {
 
 using Invariants = std::vector<std::pair<std::string, Campaign::Check>>;
-
-// Either scenario flavor behind one call signature. A context-aware
-// scenario runs inside the worker's pooled SimContext; a plain one
-// ignores it (the context, when pooled, still provides recorder reuse).
-struct RunAdapter {
-  const Campaign::RunFn* plain = nullptr;
-  const Campaign::CtxRunFn* with_ctx = nullptr;
-
-  bool needs_ctx() const { return with_ctx != nullptr; }
-
-  Metrics operator()(SimContext* ctx, std::uint64_t seed) const {
-    if (with_ctx != nullptr) return (*with_ctx)(*ctx, seed);
-    return (*plain)(seed);
-  }
-};
 
 // --- merge-tree aggregation ---------------------------------------------
 //
@@ -111,97 +94,40 @@ void fold_report(CampaignReport& report,
   report.runs_retried = blocks[0].retried;
 }
 
-// One execution attempt: build (or reset) the world, collect metrics,
-// evaluate invariants, capture the trace per policy. Pure function of
-// the seed whether or not a pooled context is supplied.
-void attempt_once(const CampaignConfig& config, const Invariants& invariants,
-                  const RunAdapter& run, SimContext* ctx, RunOutcome& o) {
+// Records a failure outside the scenario itself (an invariant check
+// throwing) as a crash of that run, so the sweep still completes.
+void record_crash(RunOutcome& o, const char* what) {
   o.metrics.clear();
   o.violated.clear();
   o.trace.clear();
-  o.error.clear();
-  // Every attempt starts from the reset-determinism baseline: scheduler
-  // and arena rewound, recorder emptied (retries included).
-  if (ctx != nullptr) ctx->reset();
-  if (config.trace == TraceCapture::kOff) {
-    o.metrics = run(ctx, o.seed);
-    for (const auto& [name, check] : invariants) {
-      if (!check(o.metrics)) o.violated.push_back(name);
-    }
-  } else if (ctx != nullptr) {
-    // Pooled capture: the context's recorder — ring and intern table
-    // already warm from the previous seed — was emptied by reset() above,
-    // so its dump is byte-identical to a fresh recorder's.
-    {
-      obs::TraceScope scope(ctx->recorder());
-      o.metrics = run(ctx, o.seed);
-    }
-    for (const auto& [name, check] : invariants) {
-      if (!check(o.metrics)) o.violated.push_back(name);
-    }
-    if (config.trace == TraceCapture::kAllRuns || !o.violated.empty()) {
-      o.trace = obs::text_dump(ctx->recorder());
-    }
-  } else {
-    // A private recorder per run, installed only on this worker thread:
-    // the scenario's instrumentation captures the run's own timeline
-    // with no cross-run or cross-thread sharing.
-    obs::TraceRecorder rec(config.trace_capacity);
-    {
-      obs::TraceScope scope(rec);
-      o.metrics = run(ctx, o.seed);
-    }
-    for (const auto& [name, check] : invariants) {
-      if (!check(o.metrics)) o.violated.push_back(name);
-    }
-    if (config.trace == TraceCapture::kAllRuns || !o.violated.empty()) {
-      o.trace = obs::text_dump(rec);
-    }
-  }
-  o.status =
-      o.violated.empty() ? RunStatus::kPassed : RunStatus::kViolated;
+  o.status = RunStatus::kCrashed;
+  o.error = what;
 }
 
-// Supervised execution: attempts under a RunGuard until one completes or
-// the retry budget is spent. Never throws — every failure mode becomes a
-// structured status on the outcome. The backoff sleep between attempts is
-// wall-clock (it paces retries, it does not touch the result), so the
-// outcome itself stays a pure function of the seed.
-void execute_supervised(const CampaignConfig& config,
-                        const Invariants& invariants, const RunAdapter& run,
-                        SimContext* ctx, RunOutcome& o) {
-  const SupervisionConfig& sup = config.supervision;
-  const int max_attempts = std::max(sup.retry.max_retries, 0) + 1;
-  for (int attempt = 0;; ++attempt) {
-    try {
-      RunGuard guard(sup);
-      GuardScope scope(guard);  // scenario's supervise(sim) finds it
-      attempt_once(config, invariants, run, ctx, o);
-      o.attempts = static_cast<std::uint32_t>(attempt + 1);
-      return;
-    } catch (const RunAborted& e) {
-      o.status = e.kind();
-      o.error = e.what();
-    } catch (const std::exception& e) {
-      o.status = RunStatus::kCrashed;
-      o.error = e.what();
-    } catch (...) {
-      o.status = RunStatus::kCrashed;
-      o.error = "unknown exception";
-    }
-    o.metrics.clear();
-    o.violated.clear();
-    o.trace.clear();
-    o.attempts = static_cast<std::uint32_t>(attempt + 1);
-    if (attempt + 1 >= max_attempts) return;  // quarantined
-    // Backoff before the retry. RetryPolicy durations are SimTime
-    // (picoseconds); read here as a wall-clock pause, capped.
-    std::int64_t pause_ns = sup.retry.timeout_for(attempt) / 1000;
-    const std::int64_t cap_ns = sup.max_backoff_ms * 1'000'000;
-    if (cap_ns > 0) pause_ns = std::min(pause_ns, cap_ns);
-    if (pause_ns > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(pause_ns));
-    }
+// One run: the shared supervised loop, then the campaign's own
+// bookkeeping — invariants over the metrics and trace capture per policy.
+// A pure function of the seed on any reset context.
+void run_one(const CampaignConfig& config, const Invariants& invariants,
+             const CtxRunFn& run, SimContext& ctx, RunOutcome& o) {
+  Execution e = execute(ctx, run, o.seed, config.supervision,
+                        config.trace != TraceCapture::kOff);
+  o.status = e.status;
+  o.attempts = e.attempts;
+  o.error = std::move(e.error);
+  o.metrics = std::move(e.metrics);
+  o.violated.clear();
+  o.trace.clear();
+  if (is_quarantined(o.status)) return;
+  for (const auto& [name, check] : invariants) {
+    if (!check(o.metrics)) o.violated.push_back(name);
+  }
+  if (!o.violated.empty()) o.status = RunStatus::kViolated;
+  // The context's recorder — ring and intern table already warm from the
+  // previous seed — was emptied by the attempt's reset(), so its dump is
+  // byte-identical to a fresh recorder's.
+  if (config.trace == TraceCapture::kAllRuns ||
+      (config.trace == TraceCapture::kFailingRuns && !o.violated.empty())) {
+    o.trace = obs::text_dump(ctx.recorder());
   }
 }
 
@@ -221,8 +147,7 @@ ManifestHeader header_for(const CampaignConfig& config,
 // folds loaded and fresh outcomes interleaved in run order — which is
 // exactly why a resumed report is byte-identical to an uninterrupted one.
 CampaignReport execute_sweep(const CampaignConfig& config,
-                             const Invariants& invariants,
-                             const RunAdapter& run,
+                             const Invariants& invariants, const CtxRunFn& run,
                              std::map<std::size_t, RunOutcome>* loaded,
                              ManifestWriter* writer, ResumeStats* stats) {
   CampaignReport report;
@@ -271,13 +196,14 @@ CampaignReport execute_sweep(const CampaignConfig& config,
   // Per-run work. Everything here depends only on the run's own seed, so
   // it can execute on any thread; the manifest append is the only shared
   // touch and the writer serializes it internally.
-  auto execute = [&](std::size_t i, SimContext* ctx) {
+  auto execute_run = [&](std::size_t i, SimContext& ctx) {
     RunOutcome& o = outcomes[i];
-    if (config.supervision.enabled) {
-      execute_supervised(config, invariants, run, ctx, o);
-    } else {
-      attempt_once(config, invariants, run, ctx, o);
-      o.attempts = 1;
+    try {
+      run_one(config, invariants, run, ctx, o);
+    } catch (const std::exception& e) {
+      record_crash(o, e.what());
+    } catch (...) {
+      record_crash(o, "unknown exception");
     }
     if (writer != nullptr) writer->append(i, o);
   };
@@ -287,80 +213,35 @@ CampaignReport execute_sweep(const CampaignConfig& config,
                             : config.workers;
   workers = std::min(workers, std::max<std::size_t>(todo.size(), 1));
 
-  // One warm SimContext per worker slot when the scenario takes one (or
-  // the reuse knob is on — which gives even plain scenarios recorder
-  // reuse). Contexts are built here on the sweeping thread; the first
-  // reset() inside attempt_once hands confinement to the worker.
+  // One warm SimContext per worker slot, built here on the sweeping
+  // thread; the first reset() inside execute() hands confinement to the
+  // worker. Without trace capture the recorder is never installed, so
+  // its ring is sized to a single event instead of a full one.
+  const std::size_t trace_capacity = config.trace == TraceCapture::kOff
+                                         ? 1
+                                         : obs::TraceRecorder::kDefaultCapacity;
   std::vector<std::unique_ptr<SimContext>> contexts;
-  if (run.needs_ctx() || config.reuse_contexts) {
-    contexts.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      contexts.push_back(std::make_unique<SimContext>(config.trace_capacity));
-    }
+  contexts.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    contexts.push_back(std::make_unique<SimContext>(trace_capacity));
   }
-  auto context_for = [&](std::size_t slot) -> SimContext* {
-    return contexts.empty() ? nullptr : contexts[slot].get();
-  };
-
-  // Workers claim contiguous chunks of the work list (amortized dispatch,
-  // one writer per neighborhood of outcome slots). Chunk size shapes only
-  // scheduling, never results.
-  const std::size_t chunk =
-      config.chunk != 0
-          ? config.chunk
-          : std::clamp<std::size_t>(todo.size() / (workers * 4),
-                                    std::size_t{1}, std::size_t{64});
 
   std::unique_ptr<core::ThreadPool> pool;
   if (workers > 1) pool = std::make_unique<core::ThreadPool>(workers);
 
   if (pool == nullptr) {
-    for (const std::size_t i : todo) execute(i, context_for(0));
-  } else if (config.supervision.enabled) {
-    // Drain mode: execute() already converts scenario failures into
-    // structured outcomes, so anything landing in an error slot is
-    // supervision bookkeeping itself failing. Record it as a crash of
-    // that run rather than letting one slot abandon its chunk (or the
-    // other chunks).
-    std::vector<std::exception_ptr> errors(todo.size());
-    pool->for_each_chunk(
-        todo.size(), chunk,
-        [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-          SimContext* ctx = context_for(slot);
-          for (std::size_t k = lo; k < hi; ++k) {
-            try {
-              execute(todo[k], ctx);
-            } catch (...) {
-              errors[k] = std::current_exception();
-            }
-          }
-        });
-    for (std::size_t k = 0; k < errors.size(); ++k) {
-      if (!errors[k]) continue;
-      RunOutcome& o = outcomes[todo[k]];
-      o.metrics.clear();
-      o.violated.clear();
-      o.trace.clear();
-      o.status = RunStatus::kCrashed;
-      o.attempts = std::max(o.attempts, 1u);
-      try {
-        std::rethrow_exception(errors[k]);
-      } catch (const std::exception& e) {
-        o.error = e.what();
-      } catch (...) {
-        o.error = "unknown exception";
-      }
-      if (writer != nullptr) writer->append(todo[k], o);
-    }
+    for (const std::size_t i : todo) execute_run(i, *contexts[0]);
   } else {
-    // First-error mode: preserves the pre-resilience contract that an
-    // unsupervised throwing run aborts the sweep and propagates.
+    // Workers claim contiguous chunks of the work list (amortized
+    // dispatch, one writer per neighborhood of outcome slots). Chunk size
+    // shapes only scheduling, never results.
+    const std::size_t chunk = std::clamp<std::size_t>(
+        todo.size() / (workers * 4), std::size_t{1}, std::size_t{64});
     pool->for_each_chunk(todo.size(), chunk,
                          [&](std::size_t slot, std::size_t lo,
                              std::size_t hi) {
-                           SimContext* ctx = context_for(slot);
                            for (std::size_t k = lo; k < hi; ++k) {
-                             execute(todo[k], ctx);
+                             execute_run(todo[k], *contexts[slot]);
                            }
                          });
   }
@@ -400,8 +281,7 @@ CampaignReport execute_sweep(const CampaignConfig& config,
 }
 
 CampaignReport sweep_impl(const CampaignConfig& config,
-                          const Invariants& invariants,
-                          const RunAdapter& run) {
+                          const Invariants& invariants, const CtxRunFn& run) {
   ManifestWriter writer;
   ManifestWriter* journal = nullptr;
   if (!config.manifest_path.empty() &&
@@ -413,7 +293,7 @@ CampaignReport sweep_impl(const CampaignConfig& config,
 }
 
 CampaignReport resume_impl(const CampaignConfig& config,
-                           const Invariants& invariants, const RunAdapter& run,
+                           const Invariants& invariants, const CtxRunFn& run,
                            const std::string& manifest_path,
                            ResumeStats* stats) {
   ManifestData data = read_manifest(manifest_path);
@@ -518,32 +398,14 @@ std::vector<std::string> Campaign::invariant_names() const {
   return names;
 }
 
-CampaignReport Campaign::sweep(const RunFn& run) const {
-  RunAdapter adapter;
-  adapter.plain = &run;
-  return sweep_impl(config_, invariants_, adapter);
-}
-
 CampaignReport Campaign::sweep(const CtxRunFn& run) const {
-  RunAdapter adapter;
-  adapter.with_ctx = &run;
-  return sweep_impl(config_, invariants_, adapter);
-}
-
-CampaignReport Campaign::resume(const RunFn& run,
-                                const std::string& manifest_path,
-                                ResumeStats* stats) const {
-  RunAdapter adapter;
-  adapter.plain = &run;
-  return resume_impl(config_, invariants_, adapter, manifest_path, stats);
+  return sweep_impl(config_, invariants_, run);
 }
 
 CampaignReport Campaign::resume(const CtxRunFn& run,
                                 const std::string& manifest_path,
                                 ResumeStats* stats) const {
-  RunAdapter adapter;
-  adapter.with_ctx = &run;
-  return resume_impl(config_, invariants_, adapter, manifest_path, stats);
+  return resume_impl(config_, invariants_, run, manifest_path, stats);
 }
 
 }  // namespace avsec::fault

@@ -1,7 +1,11 @@
 #include "avsec/fault/resilience.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
+#include <thread>
+
+#include "avsec/obs/trace.hpp"
 
 namespace avsec::fault {
 namespace {
@@ -104,6 +108,50 @@ RunGuard* install_guard(RunGuard* g) {
 
 void supervise(core::Scheduler& sim) {
   if (tl_guard != nullptr) tl_guard->attach(sim);
+}
+
+Execution execute(SimContext& ctx, const CtxRunFn& run, std::uint64_t seed,
+                  const SupervisionConfig& sup, bool record_trace) {
+  Execution e;
+  const int max_attempts = std::max(sup.retry.max_retries, 0) + 1;
+  for (int attempt = 0;; ++attempt) {
+    e.attempts = static_cast<std::uint32_t>(attempt + 1);
+    try {
+      // Every attempt starts from the reset-determinism baseline:
+      // scheduler and arena rewound, recorder emptied (retries included).
+      ctx.reset();
+      RunGuard guard(sup);
+      GuardScope scope(guard);  // the scenario's supervise(sim) finds it
+      if (record_trace) {
+        obs::TraceScope trace(ctx.recorder());
+        e.metrics = run(ctx, seed);
+      } else {
+        e.metrics = run(ctx, seed);
+      }
+      e.status = RunStatus::kPassed;
+      e.error.clear();
+      return e;
+    } catch (const RunAborted& ex) {
+      e.status = ex.kind();
+      e.error = ex.what();
+    } catch (const std::exception& ex) {
+      e.status = RunStatus::kCrashed;
+      e.error = ex.what();
+    } catch (...) {
+      e.status = RunStatus::kCrashed;
+      e.error = "unknown exception";
+    }
+    e.metrics.clear();
+    if (attempt + 1 >= max_attempts) return e;  // quarantined
+    // Backoff before the retry. RetryPolicy durations are SimTime
+    // (picoseconds); read here as a wall-clock pause, capped.
+    std::int64_t pause_ns = sup.retry.timeout_for(attempt) / 1000;
+    const std::int64_t cap_ns = sup.max_backoff_ms * 1'000'000;
+    if (cap_ns > 0) pause_ns = std::min(pause_ns, cap_ns);
+    if (pause_ns > 0) {
+      std::this_thread::sleep_for(std::chrono::nanoseconds(pause_ns));
+    }
+  }
 }
 
 }  // namespace avsec::fault

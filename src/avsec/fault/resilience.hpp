@@ -1,32 +1,38 @@
-// Run-level supervision for campaign sweeps (paper §VIII: a system that
-// demonstrates graceful degradation should itself degrade gracefully).
+// Run-level supervision (paper §VIII: a system that demonstrates graceful
+// degradation should itself degrade gracefully).
 //
-// The campaign engine treats every scenario run as an untrusted unit of
-// work: a RunGuard wraps the run with a sim-time event budget (a wedged
-// scheduler loop becomes a structured outcome, not a hung sweep) and an
-// optional wall-clock deadline, exceptions become RunOutcome{kCrashed}
-// records instead of aborting the sweep, transiently-failing runs are
-// retried on a core::RetryPolicy backoff schedule, and seeds that fail
-// every allowed attempt are quarantined — enumerated in the report, never
-// silently dropped.
+// Every scenario run — a campaign sweep's or an avsec-serve request's —
+// executes through one loop, fault::execute(): a RunGuard wraps each
+// attempt with a sim-time event budget (a wedged scheduler loop becomes a
+// structured outcome, not a hung sweep) and an optional wall-clock
+// deadline, exceptions become a kCrashed status instead of unwinding the
+// caller, transiently-failing runs are retried on a core::RetryPolicy
+// backoff schedule, and seeds that fail every allowed attempt come back
+// quarantined — for the caller to enumerate, never to drop silently.
 //
-// The guard reaches the scenario's private Scheduler through the same
-// ambient-install idiom as obs::TraceScope: the campaign installs the
-// guard thread-locally around the run, and the scenario opts in with one
+// The guard reaches the scenario's Scheduler through the same
+// ambient-install idiom as obs::TraceScope: execute() installs the guard
+// thread-locally around the attempt, and the scenario opts in with one
 // line — fault::supervise(sim) — after building its scheduler. The guard
 // stacks on top of whatever DispatchObserver is already installed (e.g.
 // an obs::SchedulerTracer), so supervision and tracing compose.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "avsec/core/retry.hpp"
 #include "avsec/core/scheduler.hpp"
+#include "avsec/fault/context.hpp"
 
 namespace avsec::fault {
+
+/// Named scalar results of one scenario run.
+using Metrics = std::map<std::string, double>;
 
 /// Terminal classification of one campaign run. The first two mean the
 /// run produced metrics; the rest mean the seed is quarantined (it failed
@@ -51,11 +57,10 @@ inline bool is_quarantined(RunStatus s) {
          s == RunStatus::kBudgetExhausted;
 }
 
-/// Per-run supervision policy for a campaign sweep. Disabled by default:
-/// an unsupervised sweep is byte-for-byte the pre-resilience engine (an
-/// exception aborts the sweep and propagates).
+/// Per-run supervision policy, applied to every campaign run and every
+/// served seed. The defaults bound nothing but a crash: no event budget,
+/// no wall deadline, one retry.
 struct SupervisionConfig {
-  bool enabled = false;
   /// Sim-time event budget per attempt: the run is aborted with
   /// kBudgetExhausted after dispatching this many scheduler events.
   /// 0 = unlimited. Deterministic (a pure function of the seed).
@@ -67,7 +72,8 @@ struct SupervisionConfig {
   std::int64_t wall_deadline_ms = 0;
   /// Backoff schedule between attempts of a failing run. The policy's
   /// SimTime fields are read as wall-clock durations here (a retry sleeps
-  /// timeout_for(attempt) on the worker thread, capped below);
+  /// the policy's timeout for the failed attempt on the worker thread,
+  /// capped below);
   /// retry.max_retries is the N in "quarantine after N retries".
   core::RetryPolicy retry = {/*initial_timeout=*/core::milliseconds(1),
                              /*backoff_factor=*/2.0,
@@ -78,8 +84,8 @@ struct SupervisionConfig {
   std::int64_t max_backoff_ms = 250;
 };
 
-/// Thrown out of the scenario by the guard when a budget trips. The
-/// campaign catches it and records the structured status; scenarios that
+/// Thrown out of the scenario by the guard when a budget trips. execute()
+/// catches it and records the structured status; scenarios that
 /// swallow exceptions wholesale should let this one through.
 class RunAborted : public std::runtime_error {
  public:
@@ -125,7 +131,7 @@ class RunGuard : public core::Scheduler::DispatchObserver {
 
 // --- ambient per-thread guard -------------------------------------------
 //
-// Mirrors the obs ambient-recorder idiom: the campaign installs the guard
+// Mirrors the obs ambient-recorder idiom: execute() installs the guard
 // around the run on the worker thread; the scenario's supervise(sim) call
 // attaches it to the world's scheduler without the run signature changing.
 
@@ -148,8 +154,37 @@ class GuardScope {
 };
 
 /// Scenario opt-in: attaches the ambient RunGuard (if any) to `sim`.
-/// No-op outside a supervised campaign run, so scenarios stay runnable
+/// No-op outside a supervised run, so scenarios stay runnable
 /// standalone. Call it once per scheduler, after construction.
 void supervise(core::Scheduler& sim);
+
+// --- the supervised-run loop --------------------------------------------
+
+/// A scenario run on a warm context: the context arrives freshly reset()
+/// — build the world on ctx.sim() — and the returned metrics must be a
+/// pure function of the seed.
+using CtxRunFn = std::function<Metrics(SimContext& ctx, std::uint64_t seed)>;
+
+/// Terminal result of one supervised execution.
+struct Execution {
+  /// kPassed when an attempt produced metrics, else the crash-family
+  /// status of the final attempt (the seed is quarantined).
+  RunStatus status = RunStatus::kPassed;
+  /// Attempts consumed (1 = first try; > 1 means retried).
+  std::uint32_t attempts = 1;
+  /// what() of the final failing attempt; empty when metrics were produced.
+  std::string error;
+  Metrics metrics;
+};
+
+/// Runs `run(ctx, seed)` under supervision until an attempt completes or
+/// the retry budget is spent. Every attempt starts from ctx.reset() and
+/// executes under a RunGuard built from `sup`; failing attempts sleep the
+/// policy's backoff (wall-clock pacing only — the result stays a pure
+/// function of the seed). Never throws for scenario failures. With
+/// `record_trace`, each attempt runs with ctx.recorder() installed, so the
+/// final attempt's trace is left there for the caller to dump.
+Execution execute(SimContext& ctx, const CtxRunFn& run, std::uint64_t seed,
+                  const SupervisionConfig& sup, bool record_trace);
 
 }  // namespace avsec::fault

@@ -805,7 +805,6 @@ fault::CampaignConfig CompiledScenario::campaign_config(
   cfg.runs = spec_.runs;
   cfg.base_seed = spec_.seed;
   cfg.workers = workers;
-  cfg.supervision.enabled = true;
   cfg.supervision.max_events = 20'000'000;
   return cfg;
 }
@@ -840,10 +839,6 @@ serve::Scenario CompiledScenario::serve_entry() const {
                       ? std::string("scenario ") + topology_name(spec_.topology)
                       : spec_.description;
   const CompiledScenario self = *this;  // immutable copy for the closures
-  s.run = [self](std::uint64_t seed, serve::Scale scale) {
-    core::Scheduler sim;
-    return self.run(sim, seed, scale);
-  };
   s.run_ctx = [self](fault::SimContext& ctx, std::uint64_t seed,
                      serve::Scale scale) { return self.run_ctx(ctx, seed, scale); };
   s.cost_hint_ms_per_seed =

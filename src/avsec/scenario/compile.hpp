@@ -73,15 +73,15 @@ class CompiledScenario {
   }
 
   /// Campaign over the spec's runs/seed with one invariant per oracle
-  /// (named by the oracle's canonical text) and supervision enabled.
+  /// (named by the oracle's canonical text) and a 20M-event run budget.
   fault::Campaign campaign(std::size_t workers = 1) const;
   fault::CampaignConfig campaign_config(std::size_t workers = 1) const;
 
   /// Names of oracles `m` violates, in file order (empty = all pass).
   std::vector<std::string> oracle_failures(const fault::Metrics& m) const;
 
-  /// serve::registry entry serving this spec by name: run and run_ctx
-  /// wired, cost hint scaled from the horizon.
+  /// serve::registry entry serving this spec by name: run_ctx wired, cost
+  /// hint scaled from the horizon.
   serve::Scenario serve_entry() const;
 
   /// The reduced horizon a kSmoke run uses (horizon/5, floor 10ms).

@@ -1,8 +1,10 @@
 #include "avsec/serve/request.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
+#include <type_traits>
 
 namespace avsec::serve {
 namespace {
@@ -154,10 +156,14 @@ class RequestScanner {
       } else if (key == "seeds") {
         if (!parse_seed_array(out.seeds, error)) return false;
       } else if (key == "deadline_ms") {
-        if (!parse_int(out.deadline_ms, error)) return false;
+        if (!parse_integer(out.deadline_ms, error)) return false;
+        if (out.deadline_ms < 0) {
+          error = "deadline_ms must be non-negative";
+          return false;
+        }
       } else if (key == "max_events") {
         std::int64_t v = 0;
-        if (!parse_int(v, error)) return false;
+        if (!parse_integer(v, error)) return false;
         if (v < 0) {
           error = "max_events must be non-negative";
           return false;
@@ -231,34 +237,40 @@ class RequestScanner {
     return expect('"', error);
   }
 
-  bool parse_int(std::int64_t& out, std::string& error) {
+  // Consumes one integer token ('-' allowed when `is_signed`) and returns
+  // it in `token`; the value itself is range-checked by the caller.
+  bool scan_integer(bool is_signed, std::string_view& token,
+                    std::string& error) {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
+    if (is_signed && peek() == '-') ++pos_;
+    const std::size_t digits = pos_;
     while (pos_ < s_.size() &&
            std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
       ++pos_;
     }
-    if (pos_ == start || (s_[start] == '-' && pos_ == start + 1)) {
-      error = "expected an integer at byte " + std::to_string(start);
+    if (pos_ == digits) {
+      error = std::string(is_signed ? "expected an integer"
+                                    : "expected an unsigned integer") +
+              " at byte " + std::to_string(start);
       return false;
     }
-    out = std::strtoll(std::string(s_.substr(start, pos_ - start)).c_str(),
-                       nullptr, 10);
+    token = s_.substr(start, pos_ - start);
     return true;
   }
 
-  bool parse_u64(std::uint64_t& out, std::string& error) {
+  // Parses an integer token into `out`, refusing values outside T's range
+  // instead of saturating them.
+  template <class T>
+  bool parse_integer(T& out, std::string& error) {
     const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      error = "expected an unsigned integer at byte " + std::to_string(start);
+    std::string_view token;
+    if (!scan_integer(std::is_signed_v<T>, token, error)) return false;
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), out);
+    if (ec != std::errc{} || end != token.data() + token.size()) {
+      error = "integer out of range at byte " + std::to_string(start);
       return false;
     }
-    out = std::strtoull(std::string(s_.substr(start, pos_ - start)).c_str(),
-                        nullptr, 10);
     return true;
   }
 
@@ -288,7 +300,7 @@ class RequestScanner {
     for (;;) {
       skip_ws();
       std::uint64_t v = 0;
-      if (!parse_u64(v, error)) return false;
+      if (!parse_integer(v, error)) return false;
       out.push_back(v);
       skip_ws();
       if (peek() == ',') {
@@ -300,33 +312,45 @@ class RequestScanner {
     return expect(']', error);
   }
 
-  // Skips one scalar or flat-array value for unknown keys.
+  // Skips one unknown key's value: a scalar, or a flat array of scalars.
+  // The schema has no nested values, so nesting is refused rather than
+  // followed — no input depth can grow the stack.
   bool skip_value(std::string& error) {
+    if (peek() != '[') return skip_scalar(error);
+    ++pos_;
+    skip_ws();
+    if (peek() == ']') {
+      ++pos_;
+      return true;
+    }
+    for (;;) {
+      skip_ws();
+      if (peek() == '[' || peek() == '{') {
+        error = "nested value in an unknown key at byte " +
+                std::to_string(pos_) +
+                " (only scalars and flat arrays are accepted)";
+        return false;
+      }
+      if (!skip_scalar(error)) return false;
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      break;
+    }
+    return expect(']', error);
+  }
+
+  // An unknown key's scalar is never used, so an integer is only scanned,
+  // not range-checked.
+  bool skip_scalar(std::string& error) {
     std::string sink_s;
     bool sink_b = false;
-    std::int64_t sink_i = 0;
+    std::string_view sink_i;
     if (peek() == '"') return parse_string(sink_s, error);
     if (peek() == 't' || peek() == 'f') return parse_bool(sink_b, error);
-    if (peek() == '[') {
-      ++pos_;
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      for (;;) {
-        skip_ws();
-        if (!skip_value(error)) return false;
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        break;
-      }
-      return expect(']', error);
-    }
-    return parse_int(sink_i, error);
+    return scan_integer(/*is_signed=*/true, sink_i, error);
   }
 
   std::string_view s_;

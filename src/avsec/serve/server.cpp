@@ -31,7 +31,6 @@ ServerConfig sanitize(ServerConfig c) {
   if (c.queue_capacity == 0) c.queue_capacity = 1;
   if (c.supervisor_poll_ms <= 0) c.supervisor_poll_ms = 1;
   if (c.worker_stall_polls < 2) c.worker_stall_polls = 2;
-  c.supervision.enabled = true;
   return c;
 }
 
@@ -269,58 +268,25 @@ void Server::run_seed(WorkerSlot& slot, const Job& job,
                       std::int64_t remaining_ms, SeedOutcome& out,
                       std::string* trace_dump) {
   fault::SupervisionConfig sup = config_.supervision;
-  sup.enabled = true;
   sup.max_events = job.max_events;
   sup.wall_deadline_ms = remaining_ms > 0 ? remaining_ms : 0;
-  const int max_attempts = std::max(sup.retry.max_retries, 0) + 1;
-  // Scenarios with a context-aware entry point run on the slot's warm
-  // arena-backed scheduler; either way, trace capture reuses the slot
-  // recorder (reset below) instead of constructing a ~1 MiB ring per
-  // traced seed.
-  fault::SimContext& ctx = slot.ctx;
-  const auto run_once = [&] {
-    ctx.reset();
-    if (job.scenario->run_ctx != nullptr) {
-      return job.scenario->run_ctx(ctx, out.seed, job.scale);
-    }
-    return job.scenario->run(out.seed, job.scale);
-  };
-  for (int attempt = 0;; ++attempt) {
-    try {
-      fault::RunGuard guard(sup);
-      fault::GuardScope scope(guard);
-      if (trace_dump != nullptr) {
-        {
-          obs::TraceScope ts(ctx.recorder());
-          out.metrics = run_once();
-        }
-        *trace_dump = obs::text_dump(ctx.recorder());
-      } else {
-        out.metrics = run_once();
-      }
-      out.status = fault::RunStatus::kPassed;
-      out.error.clear();
-      out.attempts = static_cast<std::uint32_t>(attempt + 1);
-      return;
-    } catch (const fault::RunAborted& e) {
-      out.status = e.kind();
-      out.error = e.what();
-    } catch (const std::exception& e) {
-      out.status = fault::RunStatus::kCrashed;
-      out.error = e.what();
-    } catch (...) {
-      out.status = fault::RunStatus::kCrashed;
-      out.error = "unknown exception";
-    }
-    out.metrics.clear();
-    out.attempts = static_cast<std::uint32_t>(attempt + 1);
-    if (attempt + 1 >= max_attempts) return;  // quarantined
-    std::int64_t pause_ns = sup.retry.timeout_for(attempt) / 1000;
-    const std::int64_t cap_ns = sup.max_backoff_ms * 1'000'000;
-    if (cap_ns > 0) pause_ns = std::min(pause_ns, cap_ns);
-    if (pause_ns > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(pause_ns));
-    }
+  // The campaign engine's supervised loop, on the slot's warm context:
+  // trace capture reuses the slot recorder instead of constructing a
+  // ~1 MiB ring per traced seed.
+  const Scenario& scenario = *job.scenario;
+  const Scale scale = job.scale;
+  fault::Execution e = fault::execute(
+      slot.ctx,
+      [&scenario, scale](fault::SimContext& ctx, std::uint64_t seed) {
+        return scenario.run_ctx(ctx, seed, scale);
+      },
+      out.seed, sup, trace_dump != nullptr);
+  out.status = e.status;
+  out.attempts = e.attempts;
+  out.error = std::move(e.error);
+  out.metrics = std::move(e.metrics);
+  if (trace_dump != nullptr && !fault::is_quarantined(out.status)) {
+    *trace_dump = obs::text_dump(slot.ctx.recorder());
   }
 }
 

@@ -79,8 +79,8 @@ struct ServerConfig {
   /// replaced.
   int worker_stall_polls = 100;
   /// Per-run supervision defaults (retry/backoff schedule; quarantine
-  /// after retry.max_retries + 1 failed attempts). enabled is forced on;
-  /// max_events / wall_deadline_ms are derived per request.
+  /// after retry.max_retries + 1 failed attempts); max_events /
+  /// wall_deadline_ms are derived per request.
   fault::SupervisionConfig supervision;
   /// EWMA smoothing for the per-scenario wall-cost estimate workers feed
   /// back after each job (used by load-aware admission).
@@ -172,8 +172,8 @@ class Server {
     /// Set by the supervisor when the watchdog expires: the worker exits
     /// after its current job instead of popping more work.
     std::atomic<bool> abandoned{false};
-    /// Warm per-worker simulation context: context-aware scenarios run on
-    /// its arena-backed scheduler, and trace capture reuses its recorder
+    /// Warm per-worker simulation context: scenarios run on its
+    /// arena-backed scheduler, and trace capture reuses its recorder
     /// (ring + intern table) instead of allocating one per traced seed.
     /// Reset before every seed; confined to this slot's thread. A
     /// replacement worker gets a fresh slot and a fresh context, so an

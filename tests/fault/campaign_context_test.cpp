@@ -1,7 +1,8 @@
-// Pooled per-worker SimContexts: a context-aware sweep (warm arena-backed
+// Pooled per-worker SimContexts: a sweep on the context (warm arena-backed
 // scheduler, persistent trace recorder, reset between seeds) must produce
-// a CampaignReport byte-identical to the fresh-world sweep — at any worker
-// count, under supervision, with trace capture on, and across resume.
+// a CampaignReport byte-identical to a sweep whose runs ignore the context
+// and build a fresh world each — at any worker count, under supervision,
+// with trace capture on, and across resume.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -38,7 +39,7 @@ void write_file(const std::string& path, const std::string& bytes) {
 }
 
 // The workload, parameterized on the scheduler so the fresh-world and
-// pooled-context scenarios are literally the same code: seed-dependent
+// pooled-context arms are literally the same code: seed-dependent
 // metrics, occasional invariant violations, trace instrumentation.
 Metrics run_workload(core::Scheduler& sim, std::uint64_t seed) {
   supervise(sim);
@@ -67,7 +68,9 @@ Metrics run_workload(core::Scheduler& sim, std::uint64_t seed) {
   return m;
 }
 
-Metrics scenario_plain(std::uint64_t seed) {
+// Fresh reference arm: ignores the pooled context and builds its own
+// global-heap scheduler per run.
+Metrics scenario_fresh(SimContext& /*ctx*/, std::uint64_t seed) {
   core::Scheduler sim;
   return run_workload(sim, seed);
 }
@@ -94,45 +97,34 @@ CampaignConfig base_config(std::size_t runs, std::size_t workers) {
 }
 
 TEST(CampaignContext, PooledSweepMatchesFreshSweepAtAnyWorkerCount) {
-  const auto fresh = make_campaign(base_config(24, 1)).sweep(scenario_plain);
+  const auto fresh = make_campaign(base_config(24, 1)).sweep(scenario_fresh);
   for (std::size_t workers : {1u, 2u, 8u}) {
     const auto pooled = make_campaign(base_config(24, workers))
-                            .sweep(Campaign::CtxRunFn(scenario_ctx));
+                            .sweep(scenario_ctx);
     EXPECT_TRUE(identical(fresh, pooled)) << workers << " workers";
   }
 }
 
-TEST(CampaignContext, ReuseContextsKnobKeepsPlainSweepIdentical) {
-  const auto cold = make_campaign(base_config(16, 2)).sweep(scenario_plain);
-  for (std::size_t workers : {1u, 2u, 8u}) {
-    CampaignConfig cfg = base_config(16, workers);
-    cfg.reuse_contexts = true;
-    const auto warm = make_campaign(cfg).sweep(scenario_plain);
-    EXPECT_TRUE(identical(cold, warm)) << workers << " workers";
-  }
-}
-
 TEST(CampaignContext, ChunkSizeNeverChangesReportBytes) {
-  const auto reference =
-      make_campaign(base_config(30, 1)).sweep(Campaign::CtxRunFn(scenario_ctx));
-  for (std::size_t chunk : {1u, 3u, 7u, 64u}) {
-    CampaignConfig cfg = base_config(30, 4);
-    cfg.chunk = chunk;
+  // Workers claim runs/(4*workers) runs per chunk (clamped to [1, 64]):
+  // 130 runs at 2/3/4/8 workers claim chunks of 16/10/8/4 runs.
+  const auto reference = make_campaign(base_config(130, 1)).sweep(scenario_ctx);
+  for (std::size_t workers : {2u, 3u, 4u, 8u}) {
     const auto chunked =
-        make_campaign(cfg).sweep(Campaign::CtxRunFn(scenario_ctx));
-    EXPECT_TRUE(identical(reference, chunked)) << "chunk " << chunk;
+        make_campaign(base_config(130, workers)).sweep(scenario_ctx);
+    EXPECT_TRUE(identical(reference, chunked)) << workers << " workers";
   }
 }
 
 TEST(CampaignContext, SupervisedTracedPooledSweepIsByteIdentical) {
-  // The full stack at once: supervision (RunGuard + retry bookkeeping),
-  // kAllRuns trace capture (pooled runs reuse the context's recorder,
-  // fresh runs get a local one), and context pooling. Every combination
+  // The full stack at once: supervision (RunGuard + retry bookkeeping, on
+  // for every sweep),
+  // kAllRuns trace capture (every run records into its worker context's
+  // recorder), and context pooling against fresh worlds. Every combination
   // must emit the same report bytes, traces included.
   CampaignConfig cfg = base_config(12, 1);
-  cfg.supervision.enabled = true;
   cfg.trace = TraceCapture::kAllRuns;
-  const auto fresh = make_campaign(cfg).sweep(scenario_plain);
+  const auto fresh = make_campaign(cfg).sweep(scenario_fresh);
   ASSERT_FALSE(fresh.outcomes.empty());
   for (const auto& o : fresh.outcomes) {
     EXPECT_FALSE(o.trace.empty());  // every run carries a dump
@@ -141,7 +133,7 @@ TEST(CampaignContext, SupervisedTracedPooledSweepIsByteIdentical) {
     CampaignConfig pooled_cfg = cfg;
     pooled_cfg.workers = workers;
     const auto pooled =
-        make_campaign(pooled_cfg).sweep(Campaign::CtxRunFn(scenario_ctx));
+        make_campaign(pooled_cfg).sweep(scenario_ctx);
     EXPECT_TRUE(identical(fresh, pooled)) << workers << " workers";
     ASSERT_EQ(pooled.outcomes.size(), fresh.outcomes.size());
     for (std::size_t i = 0; i < fresh.outcomes.size(); ++i) {
@@ -153,24 +145,23 @@ TEST(CampaignContext, SupervisedTracedPooledSweepIsByteIdentical) {
 
 TEST(CampaignContext, CrashingRunsQuarantineIdenticallyWhenPooled) {
   CampaignConfig cfg = base_config(15, 1);
-  cfg.supervision.enabled = true;
   cfg.supervision.retry.max_retries = 1;
   cfg.supervision.retry.initial_timeout = 0;
-  const auto crashy_plain = [](std::uint64_t seed) -> Metrics {
+  const auto crashy_fresh = [](SimContext& ctx, std::uint64_t seed) -> Metrics {
     if (seed % 4 == 0) throw std::runtime_error("flaky environment");
-    return scenario_plain(seed);
+    return scenario_fresh(ctx, seed);
   };
   const auto crashy_ctx = [](SimContext& ctx, std::uint64_t seed) -> Metrics {
     if (seed % 4 == 0) throw std::runtime_error("flaky environment");
     return scenario_ctx(ctx, seed);
   };
-  const auto fresh = make_campaign(cfg).sweep(Campaign::RunFn(crashy_plain));
+  const auto fresh = make_campaign(cfg).sweep(crashy_fresh);
   ASSERT_GT(fresh.quarantined_runs, 0u);
   for (std::size_t workers : {1u, 2u, 8u}) {
     CampaignConfig pooled_cfg = cfg;
     pooled_cfg.workers = workers;
     const auto pooled =
-        make_campaign(pooled_cfg).sweep(Campaign::CtxRunFn(crashy_ctx));
+        make_campaign(pooled_cfg).sweep(crashy_ctx);
     EXPECT_TRUE(identical(fresh, pooled)) << workers << " workers";
   }
 }
@@ -179,7 +170,7 @@ TEST(CampaignContext, ResumeAfterTruncationMatchesUninterruptedSweep) {
   CampaignConfig cfg = base_config(10, 1);
   cfg.trace = TraceCapture::kAllRuns;
   const auto reference =
-      make_campaign(cfg).sweep(Campaign::CtxRunFn(scenario_ctx));
+      make_campaign(cfg).sweep(scenario_ctx);
 
   // Journal a full pooled sweep, then truncate the manifest at several
   // offsets (a process killed mid-sweep) and resume with the CtxRunFn at
@@ -187,7 +178,7 @@ TEST(CampaignContext, ResumeAfterTruncationMatchesUninterruptedSweep) {
   const std::string full_path = temp_path("ctx_full.jsonl");
   CampaignConfig journal_cfg = cfg;
   journal_cfg.manifest_path = full_path;
-  make_campaign(journal_cfg).sweep(Campaign::CtxRunFn(scenario_ctx));
+  make_campaign(journal_cfg).sweep(scenario_ctx);
   const std::string full = read_file(full_path);
   ASSERT_GT(full.size(), 100u);
 
@@ -203,25 +194,19 @@ TEST(CampaignContext, ResumeAfterTruncationMatchesUninterruptedSweep) {
     ResumeStats stats;
     const auto resumed =
         make_campaign(resume_cfg)
-            .resume(Campaign::CtxRunFn(scenario_ctx), cut_path, &stats);
+            .resume(scenario_ctx, cut_path, &stats);
     EXPECT_TRUE(identical(reference, resumed))
         << "cut at byte " << cut << ", " << workers << " workers";
     EXPECT_EQ(stats.loaded + stats.reran, 10u) << "cut at byte " << cut;
   }
 }
 
-TEST(CampaignContext, FixturePersistsAcrossRunsAndResetsAreCounted) {
-  // Serial pooled sweep: one context serves every run, so a fixture is
-  // built exactly once and the reset counter sees every run.
-  std::atomic<int> built{0};
+TEST(CampaignContext, ResetsAreCountedPerRun) {
+  // Serial sweep: one context serves every run, and the reset counter
+  // sees every run.
   std::atomic<std::uint64_t> max_resets{0};
   Campaign c(base_config(8, 1));
-  c.sweep(Campaign::CtxRunFn([&](SimContext& ctx, std::uint64_t seed) {
-    int& fixture = ctx.fixture<int>([&] {
-      built.fetch_add(1);
-      return 7;
-    });
-    EXPECT_EQ(fixture, 7);
+  c.sweep([&](SimContext& ctx, std::uint64_t seed) {
     std::uint64_t seen = max_resets.load();
     while (ctx.resets() > seen &&
            !max_resets.compare_exchange_weak(seen, ctx.resets())) {
@@ -230,27 +215,9 @@ TEST(CampaignContext, FixturePersistsAcrossRunsAndResetsAreCounted) {
     sim.schedule_at(1, [] {});
     sim.run();
     return Metrics{{"seed_low", static_cast<double>(seed & 0xff)}};
-  }));
-  EXPECT_EQ(built.load(), 1);
+  });
   // reset() runs before every attempt: 8 runs -> at least 8 resets seen.
   EXPECT_GE(max_resets.load(), 8u);
-}
-
-TEST(CampaignContext, FixtureIsTypeCheckedAndClearable) {
-  SimContext ctx;
-  int& a = ctx.fixture<int>([] { return 1; });
-  EXPECT_EQ(a, 1);
-  EXPECT_TRUE(ctx.has_fixture());
-  // Requesting a different type rebuilds the slot.
-  double& b = ctx.fixture<double>([] { return 2.5; });
-  EXPECT_EQ(b, 2.5);
-  // Same type again: cached, the maker must not run.
-  ctx.fixture<double>([]() -> double {
-    ADD_FAILURE() << "fixture must be cached";
-    return 0.0;
-  });
-  ctx.clear_fixture();
-  EXPECT_FALSE(ctx.has_fixture());
 }
 
 TEST(CampaignContext, ResetRestoresAFreshSimulation) {

@@ -18,6 +18,7 @@
 #include "avsec/core/rng.hpp"
 #include "avsec/core/scheduler.hpp"
 #include "avsec/fault/campaign.hpp"
+#include "avsec/fault/context.hpp"
 #include "avsec/fault/manifest.hpp"
 
 namespace avsec::fault {
@@ -41,8 +42,8 @@ void write_file(const std::string& path, const std::string& bytes) {
 
 // Seed-deterministic scenario with seed-dependent metrics, occasional
 // violations, and (under supervision) occasional crashes.
-Metrics scenario(std::uint64_t seed) {
-  core::Scheduler sim;
+Metrics scenario(SimContext& ctx, std::uint64_t seed) {
+  core::Scheduler& sim = ctx.sim();
   supervise(sim);
   core::Rng rng(seed);
   double level = 0.0;
@@ -182,7 +183,7 @@ TEST(Manifest, CompleteManifestResumesWithoutReexecuting) {
 
   ResumeStats stats;
   const auto resumed = make_campaign(base_config(6, 2))
-                           .resume([](std::uint64_t) -> Metrics {
+                           .resume([](SimContext&, std::uint64_t) -> Metrics {
                              ADD_FAILURE() << "no run should re-execute";
                              return {};
                            },
@@ -267,24 +268,23 @@ TEST(Manifest, MissingOrHeaderlessManifestDegradesToFreshSweep) {
 }
 
 TEST(Manifest, QuarantinedRunsAreReexecutedOnResume) {
-  // First sweep: supervision on, seeds ending in certain residues crash
+  // First sweep: seeds ending in certain residues crash
   // -> quarantined records land in the manifest.
   const std::string path = temp_path("quarantine.jsonl");
   CampaignConfig cfg = base_config(10, 1);
   cfg.manifest_path = path;
-  cfg.supervision.enabled = true;
   cfg.supervision.retry.max_retries = 0;
   cfg.supervision.retry.initial_timeout = 0;
-  const auto crashy = make_campaign(cfg).sweep([](std::uint64_t seed) {
-    if (seed % 3 == 0) throw std::runtime_error("flaky environment");
-    return scenario(seed);
-  });
+  const auto crashy =
+      make_campaign(cfg).sweep([](SimContext& ctx, std::uint64_t seed) {
+        if (seed % 3 == 0) throw std::runtime_error("flaky environment");
+        return scenario(ctx, seed);
+      });
   ASSERT_GT(crashy.quarantined_runs, 0u);
 
   // The environment "recovers": resume re-runs exactly the quarantined
   // seeds and the merged report matches a clean sweep end to end.
   CampaignConfig clean_cfg = base_config(10, 2);
-  clean_cfg.supervision.enabled = true;
   clean_cfg.supervision.retry.max_retries = 0;
   clean_cfg.supervision.retry.initial_timeout = 0;
   const auto reference = make_campaign(clean_cfg).sweep(scenario);
@@ -334,7 +334,7 @@ TEST(Manifest, TraceCaptureRoundTripsThroughResume) {
   CampaignConfig resume_cfg = cfg;  // same trace policy, no journaling
   ResumeStats stats;
   const auto resumed = make_campaign(resume_cfg)
-                           .resume([](std::uint64_t) -> Metrics {
+                           .resume([](SimContext&, std::uint64_t) -> Metrics {
                              ADD_FAILURE() << "all runs were complete";
                              return {};
                            },

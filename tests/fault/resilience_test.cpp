@@ -14,6 +14,7 @@
 #include "avsec/core/rng.hpp"
 #include "avsec/core/scheduler.hpp"
 #include "avsec/fault/campaign.hpp"
+#include "avsec/fault/context.hpp"
 #include "avsec/fault/resilience.hpp"
 
 namespace avsec::fault {
@@ -25,8 +26,8 @@ namespace {
 constexpr std::uint64_t kCrashMod = 5;
 constexpr std::uint64_t kRunawayMod = 7;
 
-Metrics hazardous_scenario(std::uint64_t seed) {
-  core::Scheduler sim;
+Metrics hazardous_scenario(SimContext& ctx, std::uint64_t seed) {
+  core::Scheduler& sim = ctx.sim();
   supervise(sim);
   if (seed % kCrashMod == 0) {
     throw std::runtime_error("seed " + std::to_string(seed) + " exploded");
@@ -53,7 +54,6 @@ CampaignConfig supervised_config(std::size_t runs, std::size_t workers) {
   cfg.runs = runs;
   cfg.base_seed = 99;
   cfg.workers = workers;
-  cfg.supervision.enabled = true;
   cfg.supervision.max_events = 5000;  // plenty for 1 ms of 50 us ticks
   cfg.supervision.retry.max_retries = 1;
   cfg.supervision.retry.initial_timeout = 0;  // no backoff pause in tests
@@ -118,7 +118,7 @@ TEST(Resilience, TransientFailureRecoversOnRetry) {
   std::map<std::uint64_t, int> tries;
   CampaignConfig cfg = supervised_config(6, 1);
   Campaign c(cfg);
-  const auto report = c.sweep([&](std::uint64_t seed) -> Metrics {
+  const auto report = c.sweep([&](SimContext&, std::uint64_t seed) -> Metrics {
     {
       std::lock_guard<std::mutex> lock(mu);
       if (++tries[seed] == 1) throw std::runtime_error("transient");
@@ -141,8 +141,8 @@ TEST(Resilience, WallDeadlineAbortsWedgedRun) {
   cfg.supervision.wall_deadline_ms = 25;
   cfg.supervision.retry.max_retries = 0;
   Campaign c(cfg);
-  const auto report = c.sweep([](std::uint64_t) -> Metrics {
-    core::Scheduler sim;
+  const auto report = c.sweep([](SimContext& ctx, std::uint64_t) -> Metrics {
+    core::Scheduler& sim = ctx.sim();
     supervise(sim);
     std::function<void()> forever = [&] {
       sim.schedule_in(core::microseconds(1), forever);
@@ -155,20 +155,6 @@ TEST(Resilience, WallDeadlineAbortsWedgedRun) {
   EXPECT_EQ(report.outcomes[0].status, RunStatus::kTimedOut);
   EXPECT_NE(report.outcomes[0].error.find("deadline"), std::string::npos);
   EXPECT_EQ(report.quarantined_runs, 1u);
-}
-
-TEST(Resilience, UnsupervisedSweepStillPropagates) {
-  // Supervision off (the default) preserves the original contract.
-  CampaignConfig cfg;
-  cfg.runs = 8;
-  cfg.base_seed = 3;
-  cfg.workers = 2;
-  Campaign c(cfg);
-  EXPECT_THROW(c.sweep([](std::uint64_t seed) -> Metrics {
-    if (seed % 2 == 0) throw std::runtime_error("boom");
-    return {{"ok", 1.0}};
-  }),
-               std::runtime_error);
 }
 
 TEST(Resilience, SuperviseIsNoOpOutsideCampaign) {

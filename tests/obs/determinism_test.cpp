@@ -10,6 +10,7 @@
 #include "avsec/core/rng.hpp"
 #include "avsec/core/scheduler.hpp"
 #include "avsec/fault/campaign.hpp"
+#include "avsec/fault/context.hpp"
 #include "avsec/netsim/can.hpp"
 #include "avsec/obs/obs.hpp"
 
@@ -20,8 +21,7 @@ namespace {
 // traffic generator. Every layer touched here is instrumented, so the
 // ambient recorder (installed by the campaign) fills with scheduler,
 // arbitration, and error-confinement events.
-Metrics ivn_scenario(std::uint64_t seed) {
-  core::Scheduler sim;
+Metrics ivn_world(core::Scheduler& sim, std::uint64_t seed) {
   avsec::obs::SchedulerTracer tracer(sim, /*stride=*/64);
   netsim::CanBusConfig cfg;
   cfg.name = "can0";
@@ -51,6 +51,17 @@ Metrics ivn_scenario(std::uint64_t seed) {
   return m;
 }
 
+// Campaign entry: the world on the worker's pooled scheduler.
+Metrics ivn_scenario(SimContext& ctx, std::uint64_t seed) {
+  return ivn_world(ctx.sim(), seed);
+}
+
+// Standalone replay: a fresh global-heap scheduler, outside any campaign.
+Metrics ivn_standalone(std::uint64_t seed) {
+  core::Scheduler sim;
+  return ivn_world(sim, seed);
+}
+
 Campaign traced_campaign(std::size_t workers, TraceCapture capture) {
   CampaignConfig cfg;
   cfg.runs = 12;
@@ -70,7 +81,7 @@ TEST(TraceDeterminism, SameSeedSameBytesStandalone) {
     avsec::obs::TraceRecorder rec(1 << 12);
     {
       avsec::obs::TraceScope scope(rec);
-      ivn_scenario(99);
+      ivn_standalone(99);
     }
     return avsec::obs::text_dump(rec);
   };
@@ -137,7 +148,7 @@ TEST(TraceDeterminism, CapturedTraceMatchesStandaloneReplay) {
   avsec::obs::TraceRecorder rec(avsec::obs::TraceRecorder::kDefaultCapacity);
   {
     avsec::obs::TraceScope scope(rec);
-    ivn_scenario(o.seed);
+    ivn_standalone(o.seed);
   }
   EXPECT_EQ(avsec::obs::text_dump(rec), o.trace);
 }

@@ -106,7 +106,8 @@ TEST(ScenarioCorpus, RegistersIntoServeRegistryByName) {
   EXPECT_GE(names.size(), 50u);
   const serve::Scenario* s = registry.find("heartbeat-hard-mute");
   ASSERT_NE(s, nullptr);
-  const fault::Metrics m = s->run(7, serve::Scale::kSmoke);
+  fault::SimContext ctx;
+  const fault::Metrics m = s->run_ctx(ctx, 7, serve::Scale::kSmoke);
   EXPECT_GE(m.at("beats_sent"), 1.0);
 }
 

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 namespace {
 
 using namespace avsec::serve;
@@ -116,6 +120,58 @@ TEST(ParseRequest, ErrorsCarryBytePositions) {
   std::string error;
   EXPECT_FALSE(parse_request(R"({"scenario": 42})", req, error));
   EXPECT_NE(error.find("byte"), std::string::npos);
+}
+
+TEST(ParseRequest, DeeplyNestedUnknownValueIsRejectedNotRecursed) {
+  // 200 000 nested arrays under an unknown key (a ~400 KB line): refused
+  // with a message, in bounded stack, instead of one frame per '['.
+  constexpr std::size_t kDepth = 200'000;
+  std::string line = R"({"scenario":"ivn-can","x":)";
+  line.append(kDepth, '[');
+  line.append(kDepth, ']');
+  line += '}';
+  Request req;
+  std::string error;
+  EXPECT_FALSE(parse_request(line, req, error));
+  EXPECT_NE(error.find("nested"), std::string::npos) << error;
+  // One level of nesting is already outside the flat-array schema.
+  EXPECT_FALSE(parse_request(R"({"scenario":"x","x":[1,[2]]})", req, error));
+  EXPECT_NE(error.find("nested"), std::string::npos) << error;
+  EXPECT_FALSE(parse_request(R"({"scenario":"x","x":[{"a":1}]})", req, error));
+}
+
+TEST(ParseRequest, SeedAboveUint64RangeIsRejected) {
+  Request req;
+  std::string error;
+  EXPECT_FALSE(parse_request(
+      R"({"scenario":"x","seeds":[1,99999999999999999999999]})", req, error));
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  // The largest representable seed still parses exactly.
+  ASSERT_TRUE(parse_request(
+      R"({"scenario":"x","seeds":[18446744073709551615]})", req, error))
+      << error;
+  EXPECT_EQ(req.seeds, (std::vector<std::uint64_t>{18446744073709551615u}));
+}
+
+TEST(ParseRequest, DeadlineAboveInt64RangeIsRejected) {
+  Request req;
+  std::string error;
+  EXPECT_FALSE(parse_request(
+      R"({"scenario":"x","deadline_ms":9223372036854775808})", req, error));
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  ASSERT_TRUE(parse_request(
+      R"({"scenario":"x","deadline_ms":9223372036854775807})", req, error))
+      << error;
+  EXPECT_EQ(req.deadline_ms, INT64_MAX);
+}
+
+TEST(ParseRequest, NegativeDeadlineIsRejected) {
+  Request req;
+  std::string error;
+  EXPECT_FALSE(
+      parse_request(R"({"scenario":"x","deadline_ms":-5})", req, error));
+  EXPECT_NE(error.find("deadline_ms must be non-negative"), std::string::npos)
+      << error;
 }
 
 TEST(ReplyStatusNames, AreStable) {

@@ -37,7 +37,7 @@ Scenario sleeper_scenario(const std::string& name, int sleep_ms) {
   Scenario s;
   s.name = name;
   s.description = "test: holds a worker for a fixed wall time";
-  s.run = [sleep_ms](std::uint64_t, Scale) {
+  s.run_ctx = [sleep_ms](fault::SimContext&, std::uint64_t, Scale) {
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
     fault::Metrics m;
     m["slept"] = 1.0;
@@ -124,7 +124,7 @@ TEST(ServerExecution, FlakyRunRetriesThenSucceeds) {
   Scenario flaky;
   flaky.name = "flaky";
   flaky.description = "fails its first attempt only";
-  flaky.run = [calls](std::uint64_t, Scale) {
+  flaky.run_ctx = [calls](fault::SimContext&, std::uint64_t, Scale) {
     if (calls->fetch_add(1) == 0) {
       throw std::runtime_error("transient failure");
     }
@@ -154,8 +154,8 @@ TEST(ServerExecution, MidRunWallDeadlineChainsOntoRunGuard) {
   Scenario crawler;
   crawler.name = "crawler";
   crawler.description = "events that burn wall time";
-  crawler.run = [](std::uint64_t, Scale) {
-    core::Scheduler sim;
+  crawler.run_ctx = [](fault::SimContext& ctx, std::uint64_t, Scale) {
+    core::Scheduler& sim = ctx.sim();
     fault::supervise(sim);
     std::function<void()> step = [&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
