@@ -4,16 +4,13 @@
 //  a) determinism: the CampaignReport is byte-identical between serial
 //     and parallel sweeps at every worker count, AND between runs that
 //     ignore the pooled context and build a fresh world each and runs on
-//     the pooled SimContext (arena-backed scheduler, reset between seeds);
-//  b) allocator: raw scheduler event churn on an arena vs the global
-//     heap (the micro-win the EventArena exists for);
-//  c) throughput: sweep wall-clock scales with workers (speedup vs the
+//     the pooled SimContext (its scheduler reset between seeds);
+//  b) throughput: sweep wall-clock scales with workers (speedup vs the
 //     same-mode serial arm; ~1 on a single-core host — the JSON header
 //     records hardware_concurrency so the number is interpretable).
 #include <cmath>
 #include <cstdio>
 
-#include "avsec/core/arena.hpp"
 #include "avsec/core/table.hpp"
 #include "avsec/core/thread_pool.hpp"
 #include "avsec/fault/campaign.hpp"
@@ -142,7 +139,7 @@ fault::Metrics run_chaos_on(core::Scheduler& sim, std::uint64_t seed) {
 }
 
 // Fresh-world arm: ignores the pooled context and builds its own
-// global-heap scheduler per run.
+// scheduler per run.
 fault::Metrics run_chaos(fault::SimContext& /*ctx*/, std::uint64_t seed) {
   core::Scheduler sim;
   return run_chaos_on(sim, seed);
@@ -165,21 +162,6 @@ fault::Campaign make_campaign(std::size_t runs, std::size_t workers) {
   return campaign;
 }
 
-// Raw scheduler event churn (schedule + cancel half + drain): the
-// allocation pattern a campaign run hammers, isolated from simulated
-// work. `sim` is either a fresh global-heap scheduler per rep or one
-// arena-backed scheduler reset between reps.
-void churn(core::Scheduler& sim, std::size_t events) {
-  std::vector<core::EventHandle> handles;
-  handles.reserve(events);
-  for (std::size_t i = 0; i < events; ++i) {
-    handles.push_back(
-        sim.schedule_at(static_cast<core::SimTime>(i), [] {}));
-  }
-  for (std::size_t i = 0; i < events; i += 2) sim.cancel(handles[i]);
-  sim.run();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -188,40 +170,6 @@ int main(int argc, char** argv) {
 
   const std::size_t runs = h.iters(48, 8);
   const std::size_t hw = core::ThreadPool::default_workers();
-
-  // --- allocator micro-arm: arena vs global heap event churn -----------
-  const std::size_t reps = h.iters(200, 20);
-  const std::size_t events = 1000;
-  const double churn_ops = static_cast<double>(reps * events);
-  const double global_ns = h.time("scheduler_churn_global", churn_ops, [&] {
-    for (std::size_t r = 0; r < reps; ++r) {
-      core::Scheduler sim;
-      churn(sim, events);
-    }
-  });
-  core::EventArena arena;
-  core::Scheduler warm(&arena);
-  const double arena_ns = h.time("scheduler_churn_arena", churn_ops, [&] {
-    for (std::size_t r = 0; r < reps; ++r) {
-      warm.reset();
-      arena.reset();
-      churn(warm, events);
-    }
-  });
-  h.add({"scheduler_churn_arena_speedup", arena_ns, churn_ops,
-         {{"speedup_vs_global", arena_ns > 0.0 ? global_ns / arena_ns : 0.0},
-          {"arena_reserved_bytes",
-           static_cast<double>(arena.reserved_bytes())},
-          {"arena_pool_hit_rate",
-           arena.allocations() > 0
-               ? static_cast<double>(arena.pool_hits()) /
-                     static_cast<double>(arena.allocations())
-               : 0.0}}});
-  std::printf("scheduler churn: global %.0f ns/op, arena %.0f ns/op "
-              "(%.2fx), arena high-water %zu bytes\n",
-              global_ns / churn_ops, arena_ns / churn_ops,
-              arena_ns > 0.0 ? global_ns / arena_ns : 0.0,
-              arena.reserved_bytes());
 
   // --- engine-mode arms: fresh worlds vs pooled contexts, serial -------
   fault::CampaignReport fresh_report;

@@ -15,7 +15,6 @@
 // stats summary to stderr.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -23,30 +22,40 @@
 
 #include "avsec/scenario/corpus.hpp"
 #include "avsec/serve/serve.hpp"
+#include "cli_count.hpp"
 
 namespace {
+
+constexpr std::size_t kMaxWorkers = 256;
+constexpr std::size_t kMaxQueue = 65536;
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--workers N] [--queue N] [--corpus DIR] "
                "[--stream] [--list]\n"
-               "  --workers N  worker threads (default 2)\n"
-               "  --queue N    bounded job-queue capacity (default 32)\n"
+               "  --workers N  worker threads, 1..%zu (default 2)\n"
+               "  --queue N    bounded job-queue capacity, 1..%zu "
+               "(default 32)\n"
                "  --corpus DIR also serve every .avsc scenario under DIR\n"
                "  --stream     answer each line before reading the next\n"
                "               (default: batch all of stdin, coalescing\n"
                "               same-scenario requests into one sweep)\n"
                "  --list       print the scenario catalog and exit\n",
-               argv0);
+               argv0, kMaxWorkers, kMaxQueue);
 }
 
 // A malformed line never reaches the server; it still gets a structured
-// one-line answer so the output stays line-aligned with the input.
+// one-line answer so the output stays line-aligned with the input. It has
+// no ticket, and since tickets start at 0 any number would collide with a
+// served reply's id, so its id renders as null.
 std::string render_parse_error(const std::string& error) {
   avsec::serve::Reply r;
   r.status = avsec::serve::ReplyStatus::kRejected;
   r.detail = "parse error: " + error;
-  return avsec::serve::render_reply(r);
+  std::string out = avsec::serve::render_reply(r);
+  const std::string ticket_zero = "{\"id\":0,";
+  out.replace(0, ticket_zero.size(), "{\"id\":null,");
+  return out;
 }
 
 }  // namespace
@@ -59,9 +68,17 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--workers") == 0 && i + 1 < argc) {
-      config.workers = static_cast<std::size_t>(std::atoi(argv[++i]));
+      if (!avsec::examples::parse_count(argv[++i], kMaxWorkers,
+                                        config.workers)) {
+        usage(argv[0]);
+        return 2;
+      }
     } else if (std::strcmp(arg, "--queue") == 0 && i + 1 < argc) {
-      config.queue_capacity = static_cast<std::size_t>(std::atoi(argv[++i]));
+      if (!avsec::examples::parse_count(argv[++i], kMaxQueue,
+                                        config.queue_capacity)) {
+        usage(argv[0]);
+        return 2;
+      }
     } else if (std::strcmp(arg, "--corpus") == 0 && i + 1 < argc) {
       corpus_dir = argv[++i];
     } else if (std::strcmp(arg, "--stream") == 0) {

@@ -19,30 +19,35 @@
 #include "avsec/core/thread_pool.hpp"
 #include "avsec/obs/obs.hpp"
 #include "avsec/scenario/scenario.hpp"
+#include "cli_count.hpp"
 
 using namespace avsec;
 
 namespace {
 
+constexpr std::size_t kMaxGenerate = 10000;
+constexpr std::size_t kMaxWorkers = 256;
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [options] [file.avsc ...]\n"
-               "  --generate N     generate N scenarios from the validity "
-               "matrix\n"
+               "  --generate N     generate N (1..%zu) scenarios from the "
+               "validity matrix\n"
                "  --seed S         generator seed (default 1)\n"
                "  --emit DIR       write generated scenarios to DIR/<name>."
                "avsc and exit\n"
                "  --list           parse + compile only; print names and "
                "exit\n"
                "  --smoke          run at smoke scale (horizon/5)\n"
-               "  --workers N      sweep workers (default: hardware)\n"
+               "  --workers N      sweep workers, 1..%zu (default: "
+               "hardware)\n"
                "  --manifest FILE  journal sweeps (FILE, or FILE.<n> when "
                "several)\n"
                "  --trace FILE     Perfetto trace of the first scenario's "
                "first seed\n"
                "  --coverage FILE  write coverage report (text, or JSON for "
                "*.json; '-' = stdout)\n",
-               argv0);
+               argv0, kMaxGenerate, kMaxWorkers);
   return 2;
 }
 
@@ -75,7 +80,9 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--generate") == 0 && i + 1 < argc) {
-      gen_count = static_cast<std::size_t>(std::atoll(argv[++i]));
+      if (!examples::parse_count(argv[++i], kMaxGenerate, gen_count)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       gen_seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr,
                                                           10));
@@ -86,8 +93,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (workers == 0) workers = core::ThreadPool::default_workers();
+      if (!examples::parse_count(argv[++i], kMaxWorkers, workers)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--manifest") == 0 && i + 1 < argc) {
       manifest_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {

@@ -11,10 +11,10 @@ EventHandle Scheduler::schedule_at(SimTime at, Callback cb) {
   Event ev;
   ev.time = std::max(at, now_);
   ev.seq = next_seq_++;
-  ev.id = next_id_++;
+  ev.slot = acquire_slot();
   ev.cb = std::move(cb);
-  EventHandle h(ev.id);
-  live_.insert(ev.id);
+  const EventHandle h(
+      (static_cast<std::uint64_t>(slots_[ev.slot].gen) << 32) | ev.slot);
   heap_.push_back(std::move(ev));
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return h;
@@ -24,14 +24,38 @@ bool Scheduler::cancel(EventHandle h) {
   affinity_.check();
   if (!h.valid()) return false;
   // Only genuinely pending events can be cancelled: a handle whose event
-  // already ran (or was already cancelled) is a no-op. Erasing from the
-  // live set first makes double-cancel counted exactly once — the id can
-  // enter `cancelled_` at most once, so pending() never under-reports.
-  if (live_.erase(h.id_) == 0) return false;
-  // Ids are unique and never reused, so recording the id suffices; the
-  // event body is dropped when it reaches the front of the heap.
-  cancelled_.insert(h.id_);
+  // already ran carries a stale generation (its slot was released, maybe
+  // reused), and a second cancel finds the slot already kCancelled — so a
+  // slot turns into a tombstone at most once and pending() never
+  // under-reports.
+  const auto slot = static_cast<std::uint32_t>(h.id_);
+  const auto gen = static_cast<std::uint32_t>(h.id_ >> 32);
+  if (slot >= slots_.size()) return false;
+  Slot& s = slots_[slot];
+  if (s.gen != gen || s.state != SlotState::kLive) return false;
+  s.state = SlotState::kCancelled;
+  ++cancelled_;
   return true;
+}
+
+std::uint32_t Scheduler::acquire_slot() {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].state = SlotState::kLive;
+  return slot;
+}
+
+void Scheduler::release_slot(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.state = SlotState::kFree;
+  if (++s.gen == 0) s.gen = 1;  // 0 would let a handle read as invalid
+  free_slots_.push_back(slot);
 }
 
 bool Scheduler::pop_one() {
@@ -40,8 +64,14 @@ bool Scheduler::pop_one() {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     Event ev = std::move(heap_.back());
     heap_.pop_back();
-    if (cancelled_.erase(ev.id) != 0) continue;
-    live_.erase(ev.id);
+    const bool tombstone = is_cancelled(ev);
+    // Released before the body runs: a handle to the running event is
+    // already stale, so self-cancel inside the callback returns false.
+    release_slot(ev.slot);
+    if (tombstone) {
+      --cancelled_;
+      continue;
+    }
     now_ = ev.time;
     ++dispatched_;
     if (observer_ != nullptr) observer_->on_dispatch(now_, dispatched_);
@@ -64,9 +94,10 @@ std::size_t Scheduler::run_until(SimTime until) {
     // Drop cancelled tombstones at the front first: the boundary check must
     // see the earliest *live* event, otherwise a cancelled event inside the
     // window would let pop_one() execute a live event beyond `until`.
-    while (!heap_.empty() && cancelled_.count(heap_.front().id) != 0) {
+    while (!heap_.empty() && is_cancelled(heap_.front())) {
       std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      cancelled_.erase(heap_.back().id);
+      release_slot(heap_.back().slot);
+      --cancelled_;
       heap_.pop_back();
     }
     if (heap_.empty() || heap_.front().time > until) break;
@@ -80,18 +111,16 @@ bool Scheduler::step() { return pop_one(); }
 
 void Scheduler::reset() {
   affinity_.rebind();
-  // Move-assign empty containers so the old storage is deallocated into the
-  // arena's free lists now, not at destruction — the owning SimContext
-  // resets the arena immediately after this call, and the arena contract
-  // requires no container to still hold arena memory at that point.
-  heap_ = std::vector<Event, EventAlloc>(EventAlloc(arena_));
-  live_ = IdSet(IdAlloc(arena_));
-  cancelled_ = IdSet(IdAlloc(arena_));
+  // clear() keeps each container's capacity, so the next run on a pooled
+  // scheduler schedules into warm storage.
+  heap_.clear();
+  slots_.clear();
+  free_slots_.clear();
+  cancelled_ = 0;
   observer_ = nullptr;
   dispatched_ = 0;
   now_ = 0;
   next_seq_ = 1;
-  next_id_ = 1;
 }
 
 }  // namespace avsec::core

@@ -4,30 +4,29 @@
 // Events scheduled for the same instant fire in scheduling order, which
 // keeps runs bit-reproducible across platforms.
 //
-// Cancellation is lazy: cancel() only moves the event id from the live set
-// to the cancelled set (both O(1) hash-set operations — campaigns cancel
-// thousands of retransmit/watchdog timers per run, so the old linear scans
-// over the pending list dominated profiles); the event body is dropped when
-// it reaches the front of the heap. Popping moves the event out of the heap
-// storage instead of copying it, so a pop never copy-constructs the
-// std::function payload.
+// Cancellation is lazy and O(1): every pending event owns a slot in a
+// generation-tagged slot table, and its EventHandle packs (generation,
+// slot). cancel() is one indexed load that checks the generation and marks
+// the slot cancelled — campaigns cancel thousands of retransmit/watchdog
+// timers per run — and the event body is dropped when it reaches the front
+// of the heap. Popping (or dropping a tombstone) frees the slot and bumps
+// its generation, so a handle whose event already ran can never cancel a
+// later event that reuses the slot. The slot table and its free list are
+// bounded by the peak number of pending events, not by the number of
+// events ever scheduled. Popping moves the event out of the heap storage
+// instead of copying it, so a pop never copy-constructs the std::function
+// payload.
 //
-// Allocation: a Scheduler constructed over a core::EventArena serves its
-// heap storage and live/tombstone set nodes from that arena instead of
-// the global allocator — the per-worker allocation domain that lets
-// parallel campaign sweeps scale (see DESIGN.md §8). The default
-// constructor keeps the global heap, so existing call sites are
-// unchanged. reset() restores the exact freshly-constructed state (and
-// returns arena memory first), which is what makes pooled-context reuse
-// byte-identical to building a new scheduler per run.
+// reset() restores the exact freshly-constructed state while clear()ing
+// the containers in place, so a pooled scheduler (fault::SimContext, see
+// DESIGN.md §8) runs its next seed on warm storage — byte-identical to
+// building a new scheduler per run.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
-#include "avsec/core/arena.hpp"
 #include "avsec/core/sync.hpp"
 #include "avsec/core/time.hpp"
 
@@ -43,7 +42,7 @@ class EventHandle {
  private:
   friend class Scheduler;
   explicit EventHandle(std::uint64_t id) : id_(id) {}
-  std::uint64_t id_ = 0;
+  std::uint64_t id_ = 0;  // generation << 32 | slot; generations start at 1
 };
 
 /// Single-threaded discrete-event scheduler.
@@ -63,19 +62,6 @@ class EventHandle {
 class Scheduler {
  public:
   using Callback = std::function<void()>;
-
-  /// Global-heap scheduler (the default; behavior unchanged).
-  Scheduler() : Scheduler(nullptr) {}
-
-  /// Arena-backed scheduler: heap storage and live/tombstone nodes come
-  /// from `arena` (nullptr degrades to the global heap). The arena must
-  /// outlive the scheduler and must not be reset while the scheduler
-  /// still holds events — reset() this scheduler first.
-  explicit Scheduler(EventArena* arena)
-      : arena_(arena),
-        heap_(EventAlloc(arena)),
-        live_(IdAlloc(arena)),
-        cancelled_(IdAlloc(arena)) {}
 
   /// Telemetry tap on event dispatch (implemented by avsec::obs — core
   /// cannot depend on obs, so the scheduler only sees this interface).
@@ -126,26 +112,28 @@ class Scheduler {
   bool step();
 
   /// Number of genuinely pending events (cancelled-but-unpopped excluded).
-  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
+  std::size_t pending() const { return heap_.size() - cancelled_; }
 
   /// Transfers thread-confinement ownership to the calling thread.
   void rebind_thread() { affinity_.rebind(); }
 
-  /// Restores the exact freshly-constructed state: queue emptied, clocks
-  /// and counters rewound, observer removed, affinity rebound to the
-  /// calling thread. Containers are move-assigned fresh so their storage
-  /// returns to the arena *before* the owning SimContext resets it.
+  /// Restores the exact freshly-constructed state: queue emptied, slot
+  /// table dropped, clocks and counters rewound, observer removed,
+  /// affinity rebound to the calling thread. Containers are clear()ed in
+  /// place, keeping their capacity for the next run.
   void reset();
-
-  /// Arena this scheduler allocates from (nullptr = global heap).
-  EventArena* arena() const { return arena_; }
 
  private:
   struct Event {
     SimTime time = 0;
-    std::uint64_t seq = 0;  // tie-breaker: FIFO among equal times
-    std::uint64_t id = 0;
+    std::uint64_t seq = 0;    // tie-breaker: FIFO among equal times
+    std::uint32_t slot = 0;   // index into slots_
     Callback cb;
+  };
+  enum class SlotState : std::uint8_t { kFree, kLive, kCancelled };
+  struct Slot {
+    std::uint32_t gen = 1;  // bumped on release; 0 is never handed out
+    SlotState state = SlotState::kFree;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -155,22 +143,24 @@ class Scheduler {
   };
 
   bool pop_one();
-
-  using EventAlloc = ArenaAllocator<Event>;
-  using IdAlloc = ArenaAllocator<std::uint64_t>;
-  using IdSet = std::unordered_set<std::uint64_t, std::hash<std::uint64_t>,
-                                   std::equal_to<std::uint64_t>, IdAlloc>;
+  /// Takes a free slot (or appends one) and marks it live.
+  std::uint32_t acquire_slot();
+  /// Frees a popped event's slot and bumps its generation, invalidating
+  /// every handle to it.
+  void release_slot(std::uint32_t slot);
+  bool is_cancelled(const Event& ev) const {
+    return slots_[ev.slot].state == SlotState::kCancelled;
+  }
 
   ThreadAffinity affinity_;  // single-thread confinement (see class docs)
   DispatchObserver* observer_ = nullptr;
   std::uint64_t dispatched_ = 0;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t next_id_ = 1;
-  EventArena* arena_ = nullptr;
-  std::vector<Event, EventAlloc> heap_;  // std::push_heap/pop_heap with Later
-  IdSet live_;       // genuinely pending ids
-  IdSet cancelled_;  // awaiting lazy removal
+  std::vector<Event> heap_;  // std::push_heap/pop_heap with Later
+  std::vector<Slot> slots_;  // one per event in heap_, plus freed ones
+  std::vector<std::uint32_t> free_slots_;  // LIFO reuse of freed slots
+  std::size_t cancelled_ = 0;  // tombstones still in heap_
 };
 
 }  // namespace avsec::core

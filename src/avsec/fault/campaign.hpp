@@ -10,8 +10,8 @@
 // metrics.
 //
 // Every run executes through fault::execute() — the one supervised-run
-// loop avsec-serve shares — on a warm per-worker SimContext (arena-backed
-// scheduler, persistent trace recorder) reset between attempts. A
+// loop avsec-serve shares — on a warm per-worker SimContext (scheduler
+// plus persistent trace recorder) reset between attempts. A
 // throwing run becomes a structured RunOutcome (kCrashed / kTimedOut /
 // kBudgetExhausted) instead of aborting the sweep, failing runs are
 // retried on the policy's backoff schedule, and seeds that fail every

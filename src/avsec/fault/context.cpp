@@ -3,14 +3,10 @@
 namespace avsec::fault {
 
 SimContext::SimContext(std::size_t trace_capacity)
-    : sim_(&arena_), recorder_(trace_capacity) {}
+    : recorder_(trace_capacity) {}
 
 void SimContext::reset() {
-  // Order matters: the scheduler's containers must hand their storage
-  // back to the arena before the arena rewinds (EventArena::reset()
-  // requires no live arena memory), and only then is the bundle clean.
   sim_.reset();
-  arena_.reset();
   recorder_.reset();
   ++resets_;
 }

@@ -2,16 +2,12 @@
 // campaign worker's or a serve worker's runs. Every run executes in one
 // (fault::execute resets it before each attempt).
 //
-// Profiling parallel sweeps showed run time dominated not by simulated
-// work but by per-run setup: a fresh Scheduler heap, fresh tombstone
-// sets and a ~1 MiB trace ring for every seed — all through the global
-// allocator, whose lock is the hidden serialization point that kept 8
-// workers at ~1× of serial. A
-// SimContext bundles what a worker should build once and reuse per seed:
-// an EventArena, a Scheduler allocating from it, and a TraceRecorder
-// whose ring and intern table persist across runs. reset() returns the
-// whole bundle to a state indistinguishable from freshly constructed —
-// the reset-determinism contract tests/fault/campaign_context_test.cpp
+// A SimContext bundles what a worker should build once and reuse per
+// seed: a Scheduler whose event heap and slot table keep their capacity
+// across reset(), and a TraceRecorder whose ring (~1 MiB by default) and
+// intern table persist across runs. reset() returns the whole bundle to a
+// state indistinguishable from freshly constructed — the
+// reset-determinism contract tests/fault/campaign_context_test.cpp
 // enforces byte-for-byte on whole CampaignReports.
 //
 // Like the Scheduler it wraps, a SimContext is thread-confined, never
@@ -22,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "avsec/core/arena.hpp"
 #include "avsec/core/scheduler.hpp"
 #include "avsec/obs/trace.hpp"
 
@@ -38,17 +33,14 @@ class SimContext {
   SimContext(const SimContext&) = delete;
   SimContext& operator=(const SimContext&) = delete;
 
-  /// The scheduler for the current run; allocates from arena().
+  /// The scheduler for the current run.
   core::Scheduler& sim() { return sim_; }
-  /// The worker's private allocation domain.
-  core::EventArena& arena() { return arena_; }
   /// Persistent recorder: ring and intern table survive reset().
   obs::TraceRecorder& recorder() { return recorder_; }
 
   /// Rewinds everything between seeds: scheduler back to its
-  /// freshly-constructed state (its containers release storage into the
-  /// arena *first*), then the arena (all blocks reusable, still mapped),
-  /// then the recorder (counts and tracks rewound, intern cache kept).
+  /// freshly-constructed state (storage kept), then the recorder (counts
+  /// and tracks rewound, intern cache kept).
   /// Also rebinds thread confinement to the caller, so the first reset()
   /// on a pool worker doubles as the ownership handoff.
   void reset();
@@ -57,7 +49,6 @@ class SimContext {
   std::uint64_t resets() const { return resets_; }
 
  private:
-  core::EventArena arena_;  // declared before sim_: the scheduler uses it
   core::Scheduler sim_;
   obs::TraceRecorder recorder_;
   std::uint64_t resets_ = 0;

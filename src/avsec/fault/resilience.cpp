@@ -118,7 +118,7 @@ Execution execute(SimContext& ctx, const CtxRunFn& run, std::uint64_t seed,
     e.attempts = static_cast<std::uint32_t>(attempt + 1);
     try {
       // Every attempt starts from the reset-determinism baseline:
-      // scheduler and arena rewound, recorder emptied (retries included).
+      // scheduler rewound, recorder emptied (retries included).
       ctx.reset();
       RunGuard guard(sup);
       GuardScope scope(guard);  // the scenario's supervise(sim) finds it

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
+
+#include "avsec/core/rng.hpp"
 
 namespace avsec::core {
 namespace {
@@ -179,7 +182,7 @@ TEST(Scheduler, StaleHandleDoesNotCancelNewerEvent) {
   EventHandle old_timer = sim.schedule_in(nanoseconds(10), [&] { ++fired; });
   ASSERT_TRUE(sim.cancel(old_timer));
   EventHandle new_timer = sim.schedule_in(nanoseconds(10), [&] { ++fired; });
-  EXPECT_FALSE(sim.cancel(old_timer));  // stale: ids are never reused
+  EXPECT_FALSE(sim.cancel(old_timer));  // stale: already a tombstone
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(sim.cancel(new_timer));  // already executed
@@ -265,6 +268,114 @@ TEST(Scheduler, ManyCancellationsStayConsistentUnderChurn) {
   }
   EXPECT_EQ(sim.pending(), 0u);
   EXPECT_GT(fired, 0);
+}
+
+TEST(Scheduler, FiredHandleDoesNotCancelEventReusingItsSlot) {
+  // Popping an event (run or tombstone) frees its slot for the next
+  // schedule; the bumped generation must keep the old handle from
+  // cancelling the new occupant — also when the occupant is scheduled
+  // from inside the old event's own callback.
+  Scheduler sim;
+  int fired = 0;
+  EventHandle ran = sim.schedule_at(nanoseconds(1), [&] { ++fired; });
+  sim.run();
+  sim.schedule_at(nanoseconds(2), [&] { ++fired; });
+  EXPECT_FALSE(sim.cancel(ran));
+  EXPECT_EQ(sim.pending(), 1u);
+
+  EventHandle dropped = sim.schedule_at(nanoseconds(3), [&] { ++fired; });
+  ASSERT_TRUE(sim.cancel(dropped));
+  sim.run();  // fires the t=2 event, drops the t=3 tombstone
+  EXPECT_EQ(fired, 2);
+  sim.schedule_at(nanoseconds(4), [&] { ++fired; });
+  EXPECT_FALSE(sim.cancel(dropped));
+  EXPECT_EQ(sim.pending(), 1u);
+
+  EventHandle self;
+  self = sim.schedule_at(nanoseconds(5), [&] {
+    ++fired;
+    sim.schedule_in(nanoseconds(1), [&] { ++fired; });
+    EXPECT_FALSE(sim.cancel(self));
+  });
+  sim.run();
+  EXPECT_EQ(fired, 5);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// --- reset-determinism of pooled schedulers ------------------------------
+
+// One pseudo-random scheduling workload, heavy on cancellation so the
+// slot table and lazy-removal paths are exercised: a fraction of events
+// get cancelled (some before running, some doubly), and every dispatch
+// appends (time, tag) to the log. The log is the run's full observable
+// behavior.
+std::vector<std::pair<SimTime, int>> drive(Scheduler& sim,
+                                           std::uint64_t seed) {
+  std::vector<std::pair<SimTime, int>> log;
+  Rng rng(seed);
+  std::vector<EventHandle> handles;
+  for (int tag = 0; tag < 200; ++tag) {
+    const SimTime at = static_cast<SimTime>(rng.next() % 10'000);
+    handles.push_back(sim.schedule_at(at, [&log, &sim, tag] {
+      log.emplace_back(sim.now(), tag);
+    }));
+  }
+  // Cancel ~a third, with repeats (double-cancel must stay a no-op).
+  for (int i = 0; i < 100; ++i) {
+    const std::size_t k = rng.next() % handles.size();
+    sim.cancel(handles[k]);
+  }
+  // Mid-run rescheduling, interleaved with a bounded run_until so
+  // cancelled tombstones are drained at window boundaries too, and the
+  // second batch reuses the slots the first one freed.
+  sim.run_until(5'000);
+  for (int tag = 200; tag < 260; ++tag) {
+    const SimTime at =
+        sim.now() + static_cast<SimTime>(rng.next() % 5'000);
+    handles.push_back(sim.schedule_at(at, [&log, &sim, tag] {
+      log.emplace_back(sim.now(), tag);
+    }));
+  }
+  for (int i = 0; i < 30; ++i) {
+    const std::size_t k = rng.next() % handles.size();
+    sim.cancel(handles[k]);
+  }
+  sim.run();
+  return log;
+}
+
+TEST(Scheduler, ReuseAfterResetIsBitIdentical) {
+  Scheduler fresh;
+  const auto expected = drive(fresh, 7);
+  ASSERT_FALSE(expected.empty());
+
+  // Three rounds over one scheduler: each reset must restore the exact
+  // fresh state (slot generations, sequence numbers, clock, tombstones),
+  // so every round reproduces the reference log bit for bit.
+  Scheduler pooled;
+  for (int round = 0; round < 3; ++round) {
+    pooled.reset();
+    EXPECT_EQ(drive(pooled, 7), expected) << "round " << round;
+  }
+}
+
+TEST(Scheduler, ResetRestoresFreshObservableState) {
+  Scheduler sim;
+  sim.schedule_at(10, [] {});
+  auto h = sim.schedule_at(20, [] {});
+  sim.cancel(h);
+  sim.schedule_at(30, [] {});
+  sim.run_until(15);
+  EXPECT_GT(sim.dispatched(), 0u);
+  EXPECT_GT(sim.now(), 0);
+  EXPECT_EQ(sim.pending(), 1u);
+
+  sim.reset();
+  EXPECT_EQ(sim.now(), 0);
+  EXPECT_EQ(sim.dispatched(), 0u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.dispatch_observer(), nullptr);
+  EXPECT_EQ(sim.run(), 0u);  // the queued t=30 event is gone
 }
 
 TEST(Time, BitTimeRoundsToNearestPicosecond) {
